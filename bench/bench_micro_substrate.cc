@@ -48,7 +48,7 @@ void BM_ChaCha20(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_ChaCha20)->Arg(268)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_ChaCha20)->Arg(268)->Arg(524)->Arg(1024)->Arg(65536);  // 524: e2e slot plaintext
 
 void BM_EncryptorRoundTrip(benchmark::State& state) {
   Encryptor enc = Encryptor::FromMasterKey(BytesFromString("k"), state.range(1) != 0, 1);
@@ -63,6 +63,7 @@ void BM_EncryptorRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_EncryptorRoundTrip)
     ->Args({268, 0})   // slot-sized, unauthenticated
     ->Args({268, 1})   // slot-sized, MAC'd (Appendix A)
+    ->Args({524, 0})   // the end-to-end benchmark's slot plaintext
     ->Args({1036, 0});
 
 void BM_CsprngPermutation(benchmark::State& state) {

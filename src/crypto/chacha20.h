@@ -18,7 +18,10 @@ class ChaCha20 {
 
   ChaCha20(const uint8_t key[kKeySize], const uint8_t nonce[kNonceSize], uint32_t counter = 0);
 
-  // XOR the keystream into data (encrypt == decrypt).
+  // XOR the keystream into data (encrypt == decrypt). Both calls compute
+  // four blocks per pass while at least 256 bytes remain at a block
+  // boundary and one block at a time otherwise; the output does not depend
+  // on how a stream is split across calls.
   void Crypt(uint8_t* data, size_t len);
 
   // Fill out with raw keystream (used by the DRBG).

@@ -80,22 +80,20 @@ void Tracer::Enable(size_t ring_capacity) {
 void Tracer::Disable() { enabled_.store(false, std::memory_order_release); }
 
 Tracer::Ring* Tracer::ThisThreadRing() {
-  // One registered ring per thread per process lifetime. The registry holds
-  // a second shared_ptr, so records survive thread exit until shutdown.
-  static thread_local std::shared_ptr<Ring>* tl_ring_slot = nullptr;
-  if (tl_ring_slot == nullptr) {
+  // One registered ring per thread per process lifetime. The registry owns
+  // it and never drops a ring (the tracer is never destroyed), so records
+  // survive thread exit, and a plain pointer needs no destructor that could
+  // run at thread exit.
+  static thread_local Ring* tl_ring = nullptr;
+  if (tl_ring == nullptr) {
     auto ring = std::make_shared<Ring>();
     ring->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
     ring->events.reserve(ring_capacity_.load(std::memory_order_relaxed));
-    {
-      std::lock_guard<std::mutex> lk(registry_mu_);
-      rings_.push_back(ring);
-    }
-    // Leaked intentionally (one pointer per thread): a destructor running at
-    // thread exit could race a concurrent Collect() holding the shared_ptr.
-    tl_ring_slot = new std::shared_ptr<Ring>(std::move(ring));
+    tl_ring = ring.get();
+    std::lock_guard<std::mutex> lk(registry_mu_);
+    rings_.push_back(std::move(ring));
   }
-  return tl_ring_slot->get();
+  return tl_ring;
 }
 
 void Tracer::Push(const ObsEvent& ev) {

@@ -1,10 +1,11 @@
-// Fixed-size slot plaintext encoding and deterministic dummy payloads.
+// Fixed-size slot plaintext encoding and the constant dummy plaintext.
 //
 // Slot plaintext layout: block id (u64) | leaf at write time (u32) | payload.
-// Dummy slots and empty real slots carry id = kInvalidBlockId and a
-// pseudo-random payload derived from (bucket, version, slot), so generating
-// them is lock-free and costs one keystream pass — the same CPU work a real
-// encryption pays, which keeps the simulated crypto cost honest.
+// Dummy slots and empty real slots carry id = kInvalidBlockId, leaf =
+// kInvalidLeaf and an all-zero payload. The filler needs no randomness: every
+// slot encryption draws a fresh nonce, so a stream-cipher ciphertext of a
+// public constant is indistinguishable from one of a real block, and a
+// dummy slot costs one keystream pass (its encryption) instead of two.
 #ifndef OBLADI_SRC_ORAM_BLOCK_CODEC_H_
 #define OBLADI_SRC_ORAM_BLOCK_CODEC_H_
 
@@ -24,7 +25,10 @@ struct DecodedBlock {
 
 class BlockCodec {
  public:
-  explicit BlockCodec(const RingOramConfig& config, Bytes dummy_seed_key);
+  explicit BlockCodec(const RingOramConfig& config);
+  // Source-compatible form from when dummies were filled by a keyed PRF;
+  // the key is ignored.
+  BlockCodec(const RingOramConfig& config, const Bytes& /*unused_key*/) : BlockCodec(config) {}
 
   size_t plaintext_size() const { return plaintext_size_; }
 
@@ -34,8 +38,11 @@ class BlockCodec {
 
   DecodedBlock DecodeBlock(const Bytes& plaintext) const;
 
-  // Deterministic filler plaintext for dummy slots and empty real slots.
-  Bytes DummyPlaintext(BucketIndex bucket, uint32_t version, SlotIndex slot) const;
+  // Filler plaintext for dummy slots and empty real slots, built once.
+  const Bytes& DummyPlaintext() const { return dummy_plaintext_; }
+  // Source-compatible form from when the filler depended on the slot's
+  // location; the location is ignored.
+  const Bytes& DummyPlaintext(BucketIndex, uint32_t, SlotIndex) const { return dummy_plaintext_; }
 
   // Associated data binding a slot ciphertext to its location and version
   // (freshness; used in authenticated mode, Appendix A).
@@ -44,7 +51,7 @@ class BlockCodec {
  private:
   size_t payload_size_;
   size_t plaintext_size_;
-  Bytes dummy_key_;  // 32-byte key for the dummy-payload PRF
+  Bytes dummy_plaintext_;
 };
 
 }  // namespace obladi

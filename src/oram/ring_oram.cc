@@ -17,7 +17,7 @@ RingOram::RingOram(RingOramConfig config, RingOramOptions options,
       options_(options),
       store_(std::move(store)),
       encryptor_(std::move(encryptor)),
-      codec_(config, Bytes{'d', 'u', 'm', 'm', 'y'}),
+      codec_(config),
       rng_(seed),
       position_map_(config.capacity),
       loc_(config.capacity) {
@@ -528,13 +528,12 @@ void RingOram::ProcessPathXorGroup(const std::vector<PendingRead>& path,
       target_header = header;
       continue;
     }
-    Bytes dummy_pt = codec_.DummyPlaintext(path[i].bucket, path[i].version, path[i].slot);
     // Keystream + MAC both count as crypto for the !parallel_crypto
     // ablation, exactly like the Decrypt call on the slot-by-slot path.
     Bytes dummy_body;
     bool tag_ok = true;
     auto regen_and_verify = [&] {
-      dummy_body = encryptor_->ApplyKeystream(header, dummy_pt);
+      dummy_body = encryptor_->ApplyKeystream(header, codec_.DummyPlaintext());
       if (auth) {
         Bytes aad = BlockCodec::MakeAad(config_.aad_bucket_offset + path[i].bucket,
                                         path[i].version, path[i].slot);
@@ -1068,13 +1067,12 @@ std::vector<Bytes> RingOram::EncryptBucketSlots(BucketIndex bucket, uint32_t ver
   std::vector<Bytes> slots(num_slots);
   for (uint32_t logical = 0; logical < num_slots; ++logical) {
     SlotIndex phys = perm[logical];
-    Bytes plaintext;
-    if (logical < config_.z && logical < blocks.size()) {
-      plaintext = codec_.EncodeBlock(blocks[logical].id, blocks[logical].leaf,
-                                     blocks[logical].value);
-    } else {
-      plaintext = codec_.DummyPlaintext(bucket, version, phys);
+    const bool real = logical < config_.z && logical < blocks.size();
+    Bytes encoded;
+    if (real) {
+      encoded = codec_.EncodeBlock(blocks[logical].id, blocks[logical].leaf, blocks[logical].value);
     }
+    const Bytes& plaintext = real ? encoded : codec_.DummyPlaintext();
     Bytes aad = config_.authenticated
                     ? BlockCodec::MakeAad(config_.aad_bucket_offset + bucket, version, phys)
                     : Bytes{};

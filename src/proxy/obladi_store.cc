@@ -815,6 +815,20 @@ Status ObladiStore::CloseEpochNow() {
     OBLADI_RETURN_IF_ERROR(DispatchBatch(std::move(batch), index));
   }
 
+  // Every batch of this epoch has run, so open the next epoch's batches
+  // before EndEpoch clears the version chains. A read arriving during the
+  // close then queues on the next epoch's first batch and blocks, instead
+  // of finding this epoch's completed fetch, missing the cleared chain and
+  // looping. A reader from the closing epoch that lands there is aborted by
+  // EndEpoch and sees kAborted once its fetch resolves.
+  uint64_t first_dispatch_us;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    first_dispatch_us = epoch_first_dispatch_us_;
+    ResetEpochBatchesLocked();
+    inflight_fetches_.clear();
+  }
+
   // Commit in timestamp order while the write batch fits both the global cap
   // and every shard's fixed quota. The final writes also seed the next
   // epoch's version cache, so reads of this epoch's writes never wait on the
@@ -851,11 +865,6 @@ Status ObladiStore::CloseEpochNow() {
   // Depth-D pipeline: wait for a free retirement slot — at most
   // pipeline_depth closed epochs may be in flight, capping live state at
   // depth + 1 epochs' worth.
-  uint64_t first_dispatch_us;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    first_dispatch_us = epoch_first_dispatch_us_;
-  }
   // From here on the epoch's transactions are already decided (EndEpoch
   // cleared them), so any failure must resolve the blocked commit waiters —
   // in manual mode nobody else ever will.
@@ -910,8 +919,6 @@ Status ObladiStore::CloseEpochNow() {
     // The waiters travel with the retirement: clients learn the decisions
     // only once the epoch is durable (fate sharing, released asynchronously).
     job.waiters.swap(commit_waiters_);
-    ResetEpochBatchesLocked();
-    inflight_fetches_.clear();
     stats_.epochs++;
     if (overlapped) {
       stats_.epochs_overlapped++;

@@ -352,6 +352,73 @@ TEST(ObladiStorePipelineTest, CloseWaitsForPreviousRetirementDepthOne) {
   EXPECT_EQ(stats.epochs, 2u);
 }
 
+TEST(ObladiStorePipelineTest, ReadDuringStalledCloseBlocksInsteadOfSpinning) {
+  // A close stalled on the depth-1 cap has already run EndEpoch, which
+  // cleared the version chains. A read of a key the closing epoch fetched
+  // must queue on the next epoch's first batch and block there, not loop on
+  // the closing epoch's completed fetch.
+  auto env = MakeProxy(256, /*recovery=*/false);
+  env.config.pipeline_depth = 1;
+  env.proxy = std::make_unique<ObladiStore>(env.config, env.store, env.log);
+  ASSERT_TRUE(env.proxy->Load(SimpleRecords(20)).ok());
+  auto wait_until = [](const std::function<bool()>& done) {
+    for (int i = 0; i < 5000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+
+  std::promise<void> release;
+  std::shared_future<void> release_fut = release.get_future().share();
+  std::atomic<int> hook_calls{0};
+  env.proxy->SetRetireHookForTest([&] {
+    if (hook_calls.fetch_add(1) == 0) {
+      release_fut.wait();
+    }
+  });
+  ASSERT_TRUE(env.proxy->CloseEpochNow().ok());  // epoch 1 retiring (held)
+
+  // Epoch 2 fetches key5 through its first read batch.
+  std::thread first_reader([&] {
+    Timestamp t = env.proxy->Begin();
+    auto v = env.proxy->Read(t, "key5");
+    EXPECT_TRUE(v.ok()) << v.status().ToString();
+    env.proxy->Abort(t);
+  });
+  ASSERT_TRUE(wait_until([&] { return env.proxy->stats().oram_fetches == 1; }));
+  ASSERT_TRUE(env.proxy->StepReadBatch().ok());
+  first_reader.join();
+
+  // Epoch 2's close dispatches its remaining batches, runs EndEpoch and
+  // stalls until epoch 1 retires.
+  std::thread closer([&] { EXPECT_TRUE(env.proxy->CloseEpochNow().ok()); });
+  const uint64_t all_batches = 2 * env.config.read_batches_per_epoch;
+  ASSERT_TRUE(wait_until([&] { return env.proxy->stats().read_batches == all_batches; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  uint64_t dedups_before = env.proxy->stats().fetch_dedups;
+  std::atomic<bool> read_done{false};
+  StatusOr<std::string> value = Status::Internal("not read");
+  std::thread second_reader([&] {
+    Timestamp t = env.proxy->Begin();
+    value = env.proxy->Read(t, "key5");
+    env.proxy->Abort(t);
+    read_done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(read_done.load()) << "read completed before any batch served it";
+  EXPECT_LE(env.proxy->stats().fetch_dedups - dedups_before, 1u)
+      << "read spun on the closing epoch's completed fetch";
+
+  release.set_value();
+  closer.join();
+  ASSERT_TRUE(env.proxy->StepReadBatch().ok());  // epoch 3's first batch
+  second_reader.join();
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, "value5");
+  ASSERT_TRUE(env.proxy->DrainRetirement().ok());
+}
+
 TEST(ObladiStorePipelineTest, CommittedWritesServeFromVersionCacheNextEpoch) {
   // The epoch's final writes become next-epoch base versions, so a read of a
   // just-committed key is a cache hit even while its write-back retires.
