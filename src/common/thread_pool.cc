@@ -1,5 +1,8 @@
 #include "src/common/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+
 namespace obladi {
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -35,10 +38,18 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) {
     return;
   }
-  CountdownLatch latch(n);
-  for (size_t i = 0; i < n; ++i) {
-    Enqueue([&, i] {
-      fn(i);
+  // One task per worker, not per index: each task claims indices from a
+  // shared counter until none are left, so a task that starts late (its
+  // worker still busy with other work) finds its share already taken.
+  size_t tasks = std::min(n, workers_.size());
+  std::atomic<size_t> next{0};
+  CountdownLatch latch(tasks);
+  for (size_t t = 0; t < tasks; ++t) {
+    Enqueue([&] {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
       latch.CountDown();
     });
   }

@@ -38,6 +38,7 @@ class ThreadPool {
   void Enqueue(std::function<void()> fn);
 
   // Run fn(i) for i in [0, n) across the pool and wait for all to finish.
+  // Enqueues min(n, num_threads()) tasks; each index runs exactly once.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:

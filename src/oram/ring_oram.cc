@@ -389,13 +389,13 @@ void RingOram::DispatchPlainReads(std::vector<PendingRead> reads) {
     return;
   }
   // Split the batch's reads into chunks, each issued as one batched storage
-  // request: inter- and intra-request parallelism. Against a blocking store
-  // each in-flight chunk occupies a pool thread for its whole round trip,
-  // so chunks are bounded by ~2x the crypto threads; an async store only
-  // needs a thread at *completion* (to decrypt), so chunks scale with the
-  // I/O width instead — one event loop keeps them all in flight at once.
+  // request: inter- and intra-request parallelism. Every chunk's reply is
+  // decrypted by one worker, so ~2x the crypto threads keeps the cores busy
+  // while later replies are still in flight; more chunks only add per-RPC
+  // framing and wake-ups. Against a blocking store each in-flight chunk
+  // holds an I/O thread for its round trip, which io_threads bounds.
   const bool async = options_.parallel && store_->SupportsAsyncBatches();
-  size_t max_chunks = 2 * (async ? pool_->num_threads() : crypto_pool_->num_threads());
+  size_t max_chunks = 2 * crypto_pool_->num_threads();
   size_t chunk = (reads.size() + max_chunks - 1) / max_chunks;
   size_t num_chunks = (reads.size() + chunk - 1) / chunk;
   {
@@ -441,7 +441,7 @@ void RingOram::DispatchXorReads(std::vector<std::vector<PendingRead>> groups) {
   const bool async = options_.parallel && store_->SupportsAsyncBatches();
   const uint32_t header_bytes = Encryptor::kNonceSize;
   const uint32_t trailer_bytes = encryptor_->authenticated() ? Encryptor::kTagSize : 0;
-  size_t max_chunks = 2 * (async ? pool_->num_threads() : crypto_pool_->num_threads());
+  size_t max_chunks = 2 * crypto_pool_->num_threads();
   size_t chunk = (groups.size() + max_chunks - 1) / max_chunks;
   size_t num_chunks = (groups.size() + chunk - 1) / chunk;
   stats_.xor_path_reads += groups.size();

@@ -516,10 +516,14 @@ StatusOr<std::string> ObladiStore::Read(Timestamp txn, const Key& key) {
     auto fut = EnqueueFetch(key, *id);
     if (!fut.ok()) {
       if (fut.status().code() == StatusCode::kResourceExhausted) {
-        std::lock_guard<std::mutex> lk(mu_);
-        stats_.batch_overflow_aborts++;
+        {
+          std::lock_guard<std::mutex> lk(mu_);
+          stats_.batch_overflow_aborts++;
+        }
+        engine_.AbortBatchOverflow(txn);
+      } else {
+        engine_.Abort(txn);
       }
-      engine_.Abort(txn);
       return Status::Aborted(fut.status().message());
     }
     Status st = fut->get();

@@ -111,6 +111,10 @@ class MvtsoEngine {
   // Explicit abort with cascade. Idempotent.
   void Abort(Timestamp ts) { AbortWithReason(ts, AbortReason::kExplicit); }
 
+  // Same, counted as a batch-overflow abort: the proxy could not schedule
+  // the transaction's fetch in this epoch's read batches.
+  void AbortBatchOverflow(Timestamp ts) { AbortWithReason(ts, AbortReason::kBatchOverflow); }
+
   // Epoch mode: decide every live transaction. Finished transactions commit
   // in timestamp order while their combined distinct write-key count fits in
   // max_write_keys (0 = unlimited); everything else aborts. Clears all

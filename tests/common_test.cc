@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
@@ -149,6 +151,35 @@ TEST(ThreadPoolTest, ParallelForCoversIndexSpace) {
   pool.ParallelFor(64, [&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForRunsEachIndexOnceForAnySizeAndPool) {
+  // n below, at, just above and far above the worker count.
+  for (size_t workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    for (size_t n : {0u, 1u, 3u, 4u, 5u, 1000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.ParallelFor(n, [&](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForsOnOnePoolAllComplete) {
+  // Retirement and eviction encrypt through the same crypto pool at once.
+  ThreadPool pool(4);
+  constexpr size_t kN = 500;
+  std::vector<std::atomic<int>> a(kN);
+  std::vector<std::atomic<int>> b(kN);
+  std::thread other([&] { pool.ParallelFor(kN, [&](size_t i) { a[i].fetch_add(1); }); });
+  pool.ParallelFor(kN, [&](size_t i) { b[i].fetch_add(1); });
+  other.join();
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(a[i].load(), 1);
+    EXPECT_EQ(b[i].load(), 1);
   }
 }
 

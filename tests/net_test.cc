@@ -7,12 +7,14 @@
 // RemoteLogStore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <random>
 #include <thread>
 
 #include "src/fault/fault_relay.h"
+#include "src/fault/faulty_store.h"
 #include "src/net/async_client.h"
 #include "src/net/replicated_store.h"
 #include "src/net/event_loop.h"
@@ -20,6 +22,8 @@
 #include "src/net/storage_server.h"
 #include "src/net/wire.h"
 #include "src/proxy/obladi_store.h"
+#include "src/shard/shard_router.h"
+#include "src/shard/sharded_oram_set.h"
 #include "src/storage/latency_store.h"
 #include "src/storage/memory_store.h"
 #include "tests/gc_probe.h"
@@ -1024,6 +1028,77 @@ TEST(BatchedTruncateTest, EpochGcIsOneRoundTripPerShard) {
   ASSERT_TRUE(gc.ok);
   EXPECT_EQ(gc.round_trips, 4u) << "GC round trips must equal the shard count";
   EXPECT_GT(gc.buckets, 4u);  // i.e. strictly fewer than per-bucket
+}
+
+// ---------------------------------------------------------------------------
+// Read fan-out
+// ---------------------------------------------------------------------------
+
+// Counts kReadPathsXor submissions on their way to the remote store. A
+// FaultyBucketStore under the default plan forwards every call unchanged.
+class XorRequestCounter : public FaultyBucketStore {
+ public:
+  using FaultyBucketStore::FaultyBucketStore;
+  void ReadPathsXorAsync(std::vector<PathSlots> paths, uint32_t header_bytes,
+                         uint32_t trailer_bytes, ReadPathsXorDone done) override {
+    requests.fetch_add(1);
+    FaultyBucketStore::ReadPathsXorAsync(std::move(paths), header_bytes, trailer_bytes,
+                                         std::move(done));
+  }
+  std::atomic<uint64_t> requests{0};
+};
+
+TEST(ReadFanOutTest, XorWaveIsSizedToCryptoWorkersNotIoThreads) {
+  // One 64-access batch is one dispatch wave of up to 64 path groups. Each
+  // chunk's reply is decrypted by one worker, so the wave is cut into at
+  // most 2x the crypto workers requests — not 2x the 32 I/O threads, which
+  // sent one request per path.
+  ShardLayout layout = ShardLayout::Make(RingOramConfig::ForCapacity(256, 4, 64), 1);
+  auto env = StartLoopback(layout.total_buckets(), layout.shard_config.slots_per_bucket());
+  auto remote = RemoteBucketStore::Connect(env.ClientOptions());
+  ASSERT_TRUE(remote.ok());
+  std::shared_ptr<RemoteBucketStore> net = std::move(*remote);
+  auto counter = std::make_shared<XorRequestCounter>(net);
+
+  ShardedOramOptions options;
+  options.read_quota = 64;
+  options.write_quota = 64;
+  options.oram.io_threads = 32;
+  auto encryptor = std::make_shared<Encryptor>(
+      Encryptor::FromMasterKey(BytesFromString("fan-out"), false, 3));
+  ShardedOramSet set(layout, options, counter, encryptor, 3);
+  std::vector<Bytes> values;
+  for (int i = 0; i < 256; ++i) {
+    values.push_back(BytesFromString(std::to_string(i)));
+  }
+  ASSERT_TRUE(set.Initialize(values).ok());
+
+  std::vector<BlockId> ids;
+  for (BlockId id = 0; id < 64; ++id) {
+    ids.push_back(id * 4);
+  }
+  uint64_t paths_before = set.stats().xor_path_reads;
+  uint64_t requests_before = counter->requests.load();
+  auto result = set.ReadBatch(ids);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    // Payloads come back padded to the block size.
+    const Bytes& want = values[ids[i]];
+    ASSERT_GE((*result)[i].size(), want.size());
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), (*result)[i].begin())) << "block " << ids[i];
+  }
+  uint64_t requests = counter->requests.load() - requests_before;
+  // Accesses whose whole path sits in buckets an eviction already buffered
+  // read nothing; the rest are one path group each.
+  uint64_t paths = set.stats().xor_path_reads - paths_before;
+  EXPECT_GE(paths, 32u);
+
+  size_t cores = std::thread::hardware_concurrency();
+  size_t crypto_workers = std::min<size_t>(options.oram.io_threads, cores == 0 ? 8 : cores);
+  EXPECT_GE(requests, 1u);
+  EXPECT_LE(requests, 2 * crypto_workers)
+      << requests << " kReadPathsXor requests for " << paths << " paths with "
+      << crypto_workers << " crypto workers";
 }
 
 TEST(StorageServerTest, GarbageFrameGetsErrorResponseAndClose) {

@@ -246,13 +246,19 @@ TEST(ObladiStoreTest, ReadBatchOverflowAbortsTransaction) {
   std::thread f1([&] { (void)proxy.Read(ta, "key1"); });
   std::thread f2([&] { (void)proxy.Read(tb, "key2"); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // Both slots taken: this fetch fails immediately with an abort.
+  // Both slots taken: this fetch fails immediately with an abort, counted
+  // under its own reason rather than as an explicit abort.
+  MvtsoStats before = proxy.txn_stats();
   auto v = proxy.Read(tc, "key3");
   EXPECT_EQ(v.status().code(), StatusCode::kAborted);
+  MvtsoStats after = proxy.txn_stats();
+  EXPECT_GE(after.aborts_batch_overflow, before.aborts_batch_overflow + 1);
+  EXPECT_EQ(after.aborts_explicit, before.aborts_explicit);
   ASSERT_TRUE(proxy.FinishEpochNow().ok());
   f1.join();
   f2.join();
   EXPECT_GE(proxy.stats().batch_overflow_aborts, 1u);
+  EXPECT_GE(proxy.txn_stats().aborts_batch_overflow, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@
 // throughput scaling over a latency-bound backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
@@ -562,9 +565,29 @@ TEST(ShardScalingTest, FourShardsOutpaceOneOnDynamoProfile) {
   // sweeps the full K in {1,2,4,8} grid.
   // Paper-scale Dynamo latency (1ms reads / 3ms writes) so the comparison
   // exercises I/O overlap rather than this host's crypto throughput.
-  double k1 = MeasureShardedThroughput(1, /*scale=*/1.0);
-  double k4 = MeasureShardedThroughput(4, /*scale=*/1.0);
-  EXPECT_GT(k4, k1 * 1.2) << "K=4: " << k4 << " ops/s vs K=1: " << k1 << " ops/s";
+  // Alternating K=1/K=4 samples, compared by median: a burst of load from
+  // other processes lands on one sample of one side, not on the verdict.
+  constexpr int kSamples = 3;
+  std::vector<double> k1;
+  std::vector<double> k4;
+  for (int i = 0; i < kSamples; ++i) {
+    k1.push_back(MeasureShardedThroughput(1, /*scale=*/1.0));
+    k4.push_back(MeasureShardedThroughput(4, /*scale=*/1.0));
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  auto show = [](const std::vector<double>& v) {
+    std::string out;
+    for (double x : v) {
+      out += ' ';
+      out += std::to_string(static_cast<int>(x));
+    }
+    return out;
+  };
+  EXPECT_GT(median(k4), median(k1) * 1.2)
+      << "K=4 ops/s:" << show(k4) << " vs K=1 ops/s:" << show(k1);
 }
 
 }  // namespace
